@@ -3,7 +3,6 @@ package accel
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/gnn"
 	"repro/internal/graph"
@@ -23,28 +22,19 @@ type Backend struct {
 	SG       ScatterGatherConfig
 	Systolic SystolicConfig
 
-	// sc holds per-mini-batch scratch (sorted edge list, aggregation
-	// coefficients) reused across Forward calls, so the per-step cost of
-	// preparing the dataflow's source-sorted layout stops allocating once
-	// the buffers have grown to the largest batch. A Backend is therefore
-	// not safe for concurrent Forward calls — each trainer and serving
-	// worker owns its own, as they already do for replicas and clocks.
+	// sc holds per-mini-batch scratch (aggregation coefficients and their
+	// source-sorted alignment) reused across Forward calls, so preparing the
+	// dataflow's layout stops allocating once the buffers have grown to the
+	// largest batch. A Backend is therefore not safe for concurrent Forward
+	// calls — each trainer and serving worker owns its own, as they already
+	// do for replicas and clocks.
 	sc backendScratch
 }
 
 type backendScratch struct {
-	wedges []weightedEdge
-	edges  []graph.Edge
-	w      []float32
-	edgeW  []float32
-	selfW  []float32
-}
-
-// weightedEdge pairs an edge with its aggregation coefficient so one stable
-// sort produces both the source-sorted edge list and its aligned weights.
-type weightedEdge struct {
-	src, dst int32
-	w        float32
+	w     []float32
+	edgeW []float32
+	selfW []float32
 }
 
 func f32Buf(buf []float32, n int) []float32 {
@@ -105,11 +95,10 @@ func (bk *Backend) Forward(m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix
 
 		// Aggregation on the scatter-gather engine: edges sorted by source
 		// so each feature row is fetched once (§IV-C). Self loops are extra
-		// "edges" from the dst-prefix rows. Coefficients resolve into reused
-		// scratch, and one stable sort of weighted edges yields the
-		// source-sorted list with its aligned weights (stability preserves
-		// the block's CSC order between duplicate (src,dst) pairs, matching
-		// the reference path's pairing).
+		// "edges" from the dst-prefix rows. The order is the block's
+		// source-major index (a stable counting sort, so duplicate (src,dst)
+		// pairs keep the block's CSC order, matching the reference path's
+		// pairing); coefficients resolve into reused scratch aligned to it.
 		edges, wBySortedEdge, selfW := bk.sc.sortedWeightedEdges(m.Cfg, b)
 		agg := tensor.New(nd, fin)
 		sgCfg := bk.SG
@@ -138,12 +127,13 @@ func (bk *Backend) Forward(m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix
 
 		var dense *tensor.Matrix
 		if m.Cfg.Kind == gnn.SAGE {
-			self := tensor.New(nd, fin)
-			for d := 0; d < nd; d++ {
-				copy(self.Row(d), h.Row(d))
-			}
+			// [self ‖ mean]: the dst-prefix rows of h are the self features.
 			dense = tensor.New(nd, 2*fin)
-			tensor.ConcatCols(dense, self, agg)
+			for d := 0; d < nd; d++ {
+				row := dense.Row(d)
+				copy(row[:fin], h.Row(d))
+				copy(row[fin:], agg.Row(d))
+			}
 		} else {
 			dense = agg
 		}
@@ -171,37 +161,18 @@ func (bk *Backend) Forward(m *gnn.Model, mb *sampler.MiniBatch, x *tensor.Matrix
 
 // sortedWeightedEdges resolves the block's aggregation coefficients into the
 // scratch buffers and returns the source-sorted edge list with its aligned
-// per-edge weights plus the per-destination self weights. It replaces the
-// map-based weight re-pairing of earlier revisions (which allocated a queue
-// entry per distinct edge every mini-batch) with one stable sort of
-// (edge, weight) records in the reused buffers.
+// per-edge weights plus the per-destination self weights. The edge list is
+// the block's cached SourceMajor index (read-only here); the weights follow
+// its permutation back to the CSC edge ids.
 func (sc *backendScratch) sortedWeightedEdges(cfg gnn.Config, b *sampler.Block) ([]graph.Edge, []float32, []float32) {
 	ne := b.NumEdges()
-	nd := len(b.Dst)
 	sc.edgeW = f32Buf(sc.edgeW, ne)
-	sc.selfW = f32Buf(sc.selfW, nd)
+	sc.selfW = f32Buf(sc.selfW, len(b.Dst))
 	edgeW, selfW := gnn.EdgeWeightsInto(cfg, b, sc.edgeW, sc.selfW)
-	if cap(sc.wedges) < ne {
-		sc.wedges = make([]weightedEdge, ne)
-		sc.edges = make([]graph.Edge, ne)
-	}
-	sc.wedges = sc.wedges[:ne]
-	sc.edges = sc.edges[:ne]
+	idx := b.SourceMajor()
 	sc.w = f32Buf(sc.w, ne)
-	for d := 0; d < nd; d++ {
-		for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
-			sc.wedges[e] = weightedEdge{src: b.Col[e], dst: int32(d), w: edgeW[e]}
-		}
+	for t, e := range idx.CSC {
+		sc.w[t] = edgeW[e]
 	}
-	sort.SliceStable(sc.wedges, func(i, j int) bool {
-		if sc.wedges[i].src != sc.wedges[j].src {
-			return sc.wedges[i].src < sc.wedges[j].src
-		}
-		return sc.wedges[i].dst < sc.wedges[j].dst
-	})
-	for i, we := range sc.wedges {
-		sc.edges[i] = graph.Edge{Src: we.src, Dst: we.dst}
-		sc.w[i] = we.w
-	}
-	return sc.edges, sc.w, selfW
+	return idx.Edges, sc.w, selfW
 }

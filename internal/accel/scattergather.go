@@ -41,12 +41,12 @@ type ScatterGatherResult struct {
 }
 
 // RunScatterGather simulates the aggregation kernel on an edge list over
-// local indices: out[dst] += w[i]·features[src]. Edges should be sorted by
-// source (Block.SortedEdgesBySource/...Into, or the weight-aligned
-// backendScratch.sortedWeightedEdges the training loop uses) to realise
-// feature reuse; unsorted input is processed correctly but fetches once per
-// source *run*, exactly
-// like the hardware, demonstrating the O(|E|)→O(|V0|) traffic reduction.
+// local indices: out[dst] += w[i]·features[src]. edges is only read. Edges
+// should be sorted by source (a Block's SourceMajor index, which Backend
+// passes with its aligned weights, or a copy from SortedEdgesBySourceInto)
+// to realise feature reuse; unsorted input is processed correctly but
+// fetches once per source *run*, exactly like the hardware, demonstrating
+// the O(|E|)→O(|V0|) traffic reduction.
 //
 // The Feature Duplicator broadcasts each fetched feature to all S-PEs;
 // consecutive edges sharing the source consume the resident feature. Cycle

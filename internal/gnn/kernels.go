@@ -24,22 +24,6 @@ type Neighborhood struct {
 	Block *sampler.Block
 	EdgeW []float32 // aggregation coefficient per edge
 	SelfW []float32 // self-loop coefficient per destination (0 for SAGE)
-
-	// ws, when set, backs every scratch slice this neighborhood builds
-	// (the coefficients resolved by init, the backward transpose below), so
-	// re-initialising per iteration — ForwardWS does it per layer — costs no
-	// allocations.
-	ws *tensor.Workspace
-	// Transposed (CSR-over-sources) view of the scatter, built lazily by the
-	// parallel AggregateBackward: contribution t lands on source s for
-	// tPtr[s] ≤ t < tPtr[s+1], reading dAgg row tDst[t] scaled by tW[t].
-	// Contributions are stored in exactly the serial scatter's per-source
-	// order (ascending destination, self before that destination's edges),
-	// which is what makes the parallel gather bit-identical to the serial
-	// scatter — see AggregateBackward.
-	tPtr []int32
-	tDst []int32
-	tW   []float32
 }
 
 // NewNeighborhood resolves cfg's aggregation coefficients for a block.
@@ -51,11 +35,10 @@ func NewNeighborhood(cfg Config, b *sampler.Block) *Neighborhood {
 
 // init (re-)binds the neighborhood to a block, resolving coefficients into
 // ws-backed slices when ws is non-nil. Reused by ForwardState across
-// iterations so steady-state training rebuilds neighborhoods without
-// allocating.
+// iterations — ForwardWS re-binds per layer — so steady-state training
+// rebuilds neighborhoods without allocating.
 func (nb *Neighborhood) init(cfg Config, b *sampler.Block, ws *tensor.Workspace) {
-	nb.Block, nb.ws = b, ws
-	nb.tPtr, nb.tDst, nb.tW = nil, nil, nil
+	nb.Block = b
 	if ws != nil {
 		nb.EdgeW, nb.SelfW = EdgeWeightsInto(cfg, b, ws.F32(b.NumEdges()), ws.F32(len(b.Dst)))
 	} else {
@@ -65,15 +48,6 @@ func (nb *Neighborhood) init(cfg Config, b *sampler.Block, ws *tensor.Workspace)
 
 // NumDst returns the number of destination vertices.
 func (nb *Neighborhood) NumDst() int { return len(nb.Block.Dst) }
-
-// Reset invalidates the lazily built transposed contribution list. init does
-// this on every (re-)bind, but a caller that mutates the *current* block in
-// place — serving paths that re-sample into retained Block storage across
-// epochs — must call Reset before the next AggregateBackward, or the
-// parallel gather would read a transpose of the previous graph.
-func (nb *Neighborhood) Reset() {
-	nb.tPtr, nb.tDst, nb.tW = nil, nil, nil
-}
 
 // Aggregate computes the weighted neighbor sum for every destination:
 // out[d] = SelfW[d]·h[d] + Σ_e EdgeW[e]·h[Col[e]]. out is |Dst| × h.Cols.
@@ -121,37 +95,55 @@ func aggregateRange(b *sampler.Block, edgeW, selfW []float32, out *tensor.Matrix
 // coefficients (the transpose of Aggregate), adding into dh (zero it first
 // for a pure scatter). Sources are shared between destinations, so the
 // destination-major scatter cannot be row-parallelised directly; instead the
-// parallel path gathers through the transposed (source-major) contribution
-// list, giving every ParallelRows worker an owned range of dh rows and no
-// write races. Because the transpose stores each source's contributions in
-// exactly the serial scatter's order, the result is bit-identical to
-// AggregateBackwardSerial at any worker count — the property the gnn test
-// suite pins with exact equality. (The alternative — destination-range
-// workers with privatized dh partials merged afterwards — cannot be exact:
-// merging partial sums reassociates float32 addition.) With one worker the
-// serial scatter is used directly, skipping the transpose build.
+// parallel path gathers through the block's source-major index, giving
+// every ParallelRows worker an owned range of dh rows and no write races.
+// Each source's contributions are applied in exactly the serial scatter's
+// order — ascending destination, with destination s's self term before its
+// edges — so the result is bit-identical to AggregateBackwardSerial at any
+// worker count, the property the gnn test suite pins with exact equality.
+// (The alternative — destination-range workers with privatized dh partials
+// merged afterwards — cannot be exact: merging partial sums reassociates
+// float32 addition.) With one worker the serial scatter is used directly,
+// skipping the index build.
 func (nb *Neighborhood) AggregateBackward(dh, dAgg *tensor.Matrix) {
 	if tensor.Parallelism() <= 1 {
 		nb.AggregateBackwardSerial(dh, dAgg)
 		return
 	}
-	nb.buildTranspose()
-	cols := dh.Cols
-	tPtr, tDst, tW := nb.tPtr, nb.tDst, nb.tW
+	idx := nb.Block.SourceMajor()
+	nD := len(nb.Block.Dst)
+	edgeW, selfW := nb.EdgeW, nb.SelfW
 	tensor.ParallelRows(len(nb.Block.Src), func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			drow := dh.Row(s)
-			for t := tPtr[s]; t < tPtr[s+1]; t++ {
-				grow := dAgg.Data[int(tDst[t])*cols : int(tDst[t])*cols+cols]
-				tensor.AxpyRow(drow, grow, tW[t])
+			t, end := idx.Ptr[s], idx.Ptr[s+1]
+			if s < nD && selfW[s] != 0 {
+				mid := t
+				for mid < end && int(idx.Edges[mid].Dst) < s {
+					mid++
+				}
+				gatherRun(drow, dAgg, idx, edgeW, t, mid)
+				tensor.AxpyRow(drow, dAgg.Row(s), selfW[s])
+				t = mid
 			}
+			gatherRun(drow, dAgg, idx, edgeW, t, end)
 		}
 	})
 }
 
+// gatherRun accumulates index positions [t, end) of one source's run into
+// its gradient row.
+func gatherRun(drow []float32, dAgg *tensor.Matrix, idx *sampler.SourceIndex, edgeW []float32, t, end int32) {
+	cols := dAgg.Cols
+	for ; t < end; t++ {
+		d := int(idx.Edges[t].Dst)
+		tensor.AxpyRow(drow, dAgg.Data[d*cols:d*cols+cols], edgeW[idx.CSC[t]])
+	}
+}
+
 // AggregateBackwardSerial is the destination-major serial scatter — the
 // pre-parallelisation kernel, retained as the exact-equality oracle and the
-// single-worker fast path (it needs no transpose build).
+// single-worker fast path (it needs no source-major index).
 func (nb *Neighborhood) AggregateBackwardSerial(dh, dAgg *tensor.Matrix) {
 	b := nb.Block
 	cols := dh.Cols
@@ -165,60 +157,6 @@ func (nb *Neighborhood) AggregateBackwardSerial(dh, dAgg *tensor.Matrix) {
 			tensor.AxpyRow(drow, grow, nb.EdgeW[e])
 		}
 	}
-}
-
-// buildTranspose materialises the source-major contribution list: a counting
-// sort of (self + edge) contributions by source, filled in destination-major
-// order so each source's run preserves the serial scatter's sequence.
-func (nb *Neighborhood) buildTranspose() {
-	if nb.tPtr != nil {
-		return
-	}
-	b := nb.Block
-	nS := len(b.Src)
-	nD := len(b.Dst)
-	total := b.NumEdges()
-	for d := 0; d < nD; d++ {
-		if nb.SelfW[d] != 0 {
-			total++
-		}
-	}
-	var tPtr, tDst, cur []int32
-	var tW []float32
-	if nb.ws != nil {
-		tPtr, tDst, cur = nb.ws.I32(nS+1), nb.ws.I32(total), nb.ws.I32(nS)
-		tW = nb.ws.F32(total)
-	} else {
-		tPtr, tDst, cur = make([]int32, nS+1), make([]int32, total), make([]int32, nS)
-		tW = make([]float32, total)
-	}
-	for s := range tPtr {
-		tPtr[s] = 0
-	}
-	for d := 0; d < nD; d++ {
-		if nb.SelfW[d] != 0 {
-			tPtr[d+1]++
-		}
-		for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
-			tPtr[b.Col[e]+1]++
-		}
-	}
-	for s := 0; s < nS; s++ {
-		tPtr[s+1] += tPtr[s]
-		cur[s] = tPtr[s]
-	}
-	for d := 0; d < nD; d++ {
-		if w := nb.SelfW[d]; w != 0 {
-			tDst[cur[d]], tW[cur[d]] = int32(d), w
-			cur[d]++
-		}
-		for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
-			s := b.Col[e]
-			tDst[cur[s]], tW[cur[s]] = int32(d), nb.EdgeW[e]
-			cur[s]++
-		}
-	}
-	nb.tPtr, nb.tDst, nb.tW = tPtr, tDst, tW
 }
 
 // PropagateLayer runs layer l over a neighborhood: aggregation, SAGE's

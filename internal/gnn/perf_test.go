@@ -62,8 +62,8 @@ func TestAggregateBackwardParallelExactlyMatchesSerial(t *testing.T) {
 			for _, par := range []int{2, 4, 64} {
 				prev := tensor.SetParallelism(par)
 				got := tensor.New(len(b.Src), cols)
-				// Fresh neighborhood per parallelism level so the transpose
-				// build itself is covered each time.
+				// Fresh neighborhood per parallelism level; the block's
+				// source-major index is built by the first and reused.
 				NewNeighborhood(cfg, b).AggregateBackward(got, dAgg)
 				tensor.SetParallelism(prev)
 				if !got.Equal(want) {
@@ -76,7 +76,7 @@ func TestAggregateBackwardParallelExactlyMatchesSerial(t *testing.T) {
 }
 
 // TestAggregateBackwardSerialFallback covers the single-worker dispatch in
-// AggregateBackward (no transpose build).
+// AggregateBackward (the serial scatter, no source-major index).
 func TestAggregateBackwardSerialFallback(t *testing.T) {
 	prev := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prev)
@@ -92,9 +92,6 @@ func TestAggregateBackwardSerialFallback(t *testing.T) {
 	nb.AggregateBackwardSerial(want, dAgg)
 	if !got.Equal(want) {
 		t.Fatal("single-worker AggregateBackward must equal the serial scatter")
-	}
-	if nb.tPtr != nil {
-		t.Fatal("single-worker path should not build the transpose")
 	}
 }
 
@@ -238,61 +235,54 @@ func TestEdgeWeightsIntoReuse(t *testing.T) {
 	}
 }
 
-// TestNeighborhoodResetInvalidatesTranspose pins the invalidation contract
-// of the cached transposed contribution list: a caller that mutates the
-// bound block in place (serving paths re-sampling into retained Block
-// storage) must get a fresh transpose after Reset — and init must invalidate
-// on every re-bind — or the parallel backward would gather through the
-// previous graph's index.
-func TestNeighborhoodResetInvalidatesTranspose(t *testing.T) {
-	rng := tensor.NewRNG(41)
-	cfg := Config{Kind: GCN, Dims: []int{5, 3}}
-	b := raggedBlock(rng, 12, 10, 5)
-	nb := NewNeighborhood(cfg, b)
-
-	cols := 7
-	dAgg := tensor.New(len(b.Dst), cols)
-	tensor.NormalInit(dAgg, 1, rng)
-
+// TestAggregateBackwardSourceMajorFreshAfterResample pins the cache
+// contract of the block's source-major index, which the parallel backward
+// gathers through: re-sampling into the same retained Block storage (the
+// training and serving loops' SampleInto) must yield a fresh index with no
+// invalidation call by the caller, or the gather would run over the
+// previous batch's graph.
+func TestAggregateBackwardSourceMajorFreshAfterResample(t *testing.T) {
+	fx := makeFixture(t, []int{5, 3}, 4, 43)
+	s, err := sampler.New(fx.ds.Graph, []int{6}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(44)
 	prev := tensor.SetParallelism(4)
 	defer tensor.SetParallelism(prev)
-
-	// First backward builds and caches the transpose.
-	got := tensor.New(len(b.Src), cols)
-	nb.AggregateBackward(got, dAgg)
-
-	// Mutate the block in place: rewire every destination's first edge to
-	// source 0. Without invalidation the cached transpose still scatters to
-	// the old sources.
-	for d := 0; d < len(b.Dst); d++ {
-		if b.RowPtr[d+1] > b.RowPtr[d] {
-			b.Col[b.RowPtr[d]] = 0
+	mb := &sampler.MiniBatch{}
+	cols := 7
+	for _, kind := range allKinds {
+		cfg := Config{Kind: kind, Dims: []int{5, 3}, GINEps: 0.4}
+		var retained *sampler.Block
+		for round := 0; round < 4; round++ {
+			targets := make([]int32, 10)
+			for i := range targets {
+				targets[i] = int32(rng.Intn(fx.ds.Graph.NumVertices))
+			}
+			if err := s.SampleInto(mb, targets, rng); err != nil {
+				t.Fatal(err)
+			}
+			b := mb.Blocks[0]
+			if retained != nil && b != retained {
+				t.Fatal("SampleInto did not reuse the retained block")
+			}
+			retained = b
+			if idx := b.SourceMajor(); len(idx.Ptr) != len(b.Src)+1 || len(idx.Edges) != b.NumEdges() {
+				t.Fatalf("%v round %d: index sized for %d sources/%d edges, block has %d/%d",
+					kind, round, len(idx.Ptr)-1, len(idx.Edges), len(b.Src), b.NumEdges())
+			}
+			dAgg := tensor.New(len(b.Dst), cols)
+			tensor.NormalInit(dAgg, 1, rng)
+			nb := NewNeighborhood(cfg, b)
+			got := tensor.New(len(b.Src), cols)
+			nb.AggregateBackward(got, dAgg)
+			want := tensor.New(len(b.Src), cols)
+			nb.AggregateBackwardSerial(want, dAgg)
+			if !got.Equal(want) {
+				t.Fatalf("%v round %d: parallel backward differs from serial after re-sampling (max diff %g)",
+					kind, round, got.MaxAbsDiff(want))
+			}
 		}
-	}
-	// Coefficients depend only on shape for GCN's degree normalisation —
-	// recompute them the way a re-binding caller would.
-	nb.EdgeW, nb.SelfW = EdgeWeights(cfg, b)
-
-	nb.Reset()
-	got2 := tensor.New(len(b.Src), cols)
-	nb.AggregateBackward(got2, dAgg)
-
-	want := tensor.New(len(b.Src), cols)
-	NewNeighborhood(cfg, b).AggregateBackwardSerial(want, dAgg)
-	if !got2.Equal(want) {
-		t.Fatalf("after Reset the parallel backward still used the stale transpose (max diff %g)",
-			got2.MaxAbsDiff(want))
-	}
-
-	// And init (the ForwardState re-bind path) must invalidate too.
-	nb.AggregateBackward(tensor.New(len(b.Src), cols), dAgg) // re-cache
-	b2 := raggedBlock(rng, 12, 10, 5)
-	nb.init(cfg, b2, nil)
-	got3 := tensor.New(len(b2.Src), cols)
-	nb.AggregateBackward(got3, dAgg)
-	want3 := tensor.New(len(b2.Src), cols)
-	NewNeighborhood(cfg, b2).AggregateBackwardSerial(want3, dAgg)
-	if !got3.Equal(want3) {
-		t.Fatal("init re-bind did not invalidate the cached transpose")
 	}
 }

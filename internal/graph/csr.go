@@ -151,24 +151,19 @@ func (g *Graph) EdgeList() []Edge {
 // SortEdgesBySource returns the edge list ordered by source vertex
 // (stable within a source by destination). This is the layout the paper's
 // scatter-gather kernel requires: edges with the same source are consecutive
-// so a fetched feature is reused Dout(v) times (paper §IV-C).
+// so a fetched feature is reused Dout(v) times (paper §IV-C). Sampled blocks
+// get this order from their counting-sort index (sampler.Block.SourceMajor);
+// this comparison sort is the reference those are tested against.
 func SortEdgesBySource(edges []Edge) []Edge {
 	out := make([]Edge, len(edges))
 	copy(out, edges)
-	return SortEdgesBySourceInPlace(out)
-}
-
-// SortEdgesBySourceInPlace sorts edges by source (stable within a source by
-// destination) without copying — the reuse-friendly form for per-mini-batch
-// callers that own a scratch buffer. Returns edges for convenience.
-func SortEdgesBySourceInPlace(edges []Edge) []Edge {
-	sort.SliceStable(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Src != out[j].Src {
+			return out[i].Src < out[j].Src
 		}
-		return edges[i].Dst < edges[j].Dst
+		return out[i].Dst < out[j].Dst
 	})
-	return edges
+	return out
 }
 
 // CountSourceRuns returns the number of maximal runs of consecutive edges

@@ -2,7 +2,7 @@ package sampler
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -69,7 +69,7 @@ func (s *SaintSampler) SampleN(roots int, rng *tensor.RNG) (*MiniBatch, error) {
 	for v := range visited {
 		nodes = append(nodes, v)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 
 	local := make(map[int32]int32, len(nodes))
 	for i, v := range nodes {

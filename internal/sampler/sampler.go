@@ -7,6 +7,7 @@ package sampler
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -17,11 +18,33 @@ import (
 // destination also appears as a source so self-features are available for
 // GraphSAGE's concat and GCN's self loop). Edges are stored CSC-style over
 // destinations; Col holds *local* indices into Src.
+//
+// A Block has one owner goroutine, like the MiniBatch holding it: the
+// source-major index (SourceMajor) is built lazily on first use and cached
+// until SampleInto next rewrites the block, so a Block whose index has been
+// built must not be edited any other way.
 type Block struct {
 	Src    []int32 // global vertex IDs; Src[:len(Dst)] == Dst
 	Dst    []int32 // global vertex IDs of this layer's targets
 	RowPtr []int32 // len(Dst)+1
 	Col    []int32 // local src indices, len == NumEdges()
+
+	srcIdx   SourceIndex
+	srcIdxOK bool
+}
+
+// SourceIndex is a Block's edges regrouped by source: positions
+// Ptr[s] ≤ t < Ptr[s+1] are source s's edges, Edges[t] is the (src, dst)
+// pair in local indices and CSC[t] its edge id in the block's Col/RowPtr
+// arrays. Destinations ascend within a source and duplicate (src, dst)
+// pairs keep their CSC order — exactly the order a stable comparison sort
+// by (src, dst) gives (graph.SortEdgesBySource), which is the layout the
+// accelerator's scatter-gather kernel streams (paper §IV-C) and the
+// per-source order the parallel backward scatter needs.
+type SourceIndex struct {
+	Ptr   []int32      // len(Src)+1
+	Edges []graph.Edge // len == NumEdges()
+	CSC   []int32      // len == NumEdges()
 }
 
 // NumEdges returns the number of sampled edges in the block.
@@ -75,6 +98,46 @@ func FullGraphBlock(g *graph.Graph) (*Block, error) {
 	return &Block{Src: ids, Dst: ids, RowPtr: rowPtr, Col: g.ColIdx}, nil
 }
 
+// SourceMajor returns the block's source-major index, building it on first
+// use with a stable counting sort by source in O(|E| + |Src|) and caching
+// it in storage the block retains, so rebuilding it after a re-sample
+// stops allocating once the block has grown to its largest size. The index
+// is owned by the block and read-only to callers.
+func (b *Block) SourceMajor() *SourceIndex {
+	x := &b.srcIdx
+	if b.srcIdxOK {
+		return x
+	}
+	nS, ne := len(b.Src), len(b.Col)
+	x.Ptr = slices.Grow(x.Ptr[:0], nS+1)[:nS+1]
+	x.Edges = slices.Grow(x.Edges[:0], ne)[:ne]
+	x.CSC = slices.Grow(x.CSC[:0], ne)[:ne]
+	clear(x.Ptr)
+	for _, s := range b.Col {
+		x.Ptr[s+1]++
+	}
+	for s := 0; s < nS; s++ {
+		x.Ptr[s+1] += x.Ptr[s]
+	}
+	// Edges are visited in CSC (destination-major) order, so each source's
+	// run fills in ascending destination order. Ptr[s] serves as source s's
+	// fill cursor and ends at the start of s+1; shifting it right by one
+	// restores the run starts.
+	for d := 0; d+1 < len(b.RowPtr); d++ {
+		for e := b.RowPtr[d]; e < b.RowPtr[d+1]; e++ {
+			s := b.Col[e]
+			t := x.Ptr[s]
+			x.Edges[t] = graph.Edge{Src: s, Dst: int32(d)}
+			x.CSC[t] = e
+			x.Ptr[s]++
+		}
+	}
+	copy(x.Ptr[1:], x.Ptr[:nS])
+	x.Ptr[0] = 0
+	b.srcIdxOK = true
+	return x
+}
+
 // SortedEdgesBySource returns the block's edges (in local indices) ordered by
 // source, the layout the accelerator scatter-gather kernel consumes.
 func (b *Block) SortedEdgesBySource() []graph.Edge {
@@ -83,21 +146,11 @@ func (b *Block) SortedEdgesBySource() []graph.Edge {
 
 // SortedEdgesBySourceInto is SortedEdgesBySource into a reused buffer: the
 // buffer grows to the largest block seen and then stops allocating. buf may
-// be nil or any capacity; the filled, sorted slice is returned. (The FPGA
-// training backend needs the per-edge weights aligned with this order, so
-// it applies the same reuse pattern to a weighted edge list instead — see
-// accel.backendScratch.sortedWeightedEdges.)
+// be nil or any capacity; the filled slice is returned. It copies the
+// Edges of the block's SourceMajor index, which callers that only read the
+// order (the FPGA backend) use directly.
 func (b *Block) SortedEdgesBySourceInto(buf []graph.Edge) []graph.Edge {
-	if cap(buf) < len(b.Col) {
-		buf = make([]graph.Edge, 0, len(b.Col))
-	}
-	buf = buf[:0]
-	for d := 0; d < len(b.Dst); d++ {
-		for _, s := range b.Col[b.RowPtr[d]:b.RowPtr[d+1]] {
-			buf = append(buf, graph.Edge{Src: s, Dst: int32(d)})
-		}
-	}
-	return graph.SortEdgesBySourceInPlace(buf)
+	return append(buf[:0], b.SourceMajor().Edges...)
 }
 
 // MiniBatch is an L-layer computational graph. Blocks[0] is the input-most
@@ -298,6 +351,7 @@ func (s *Sampler) ensureScratch() {
 // occurrence wins for shared sources) — matches sampleLayer exactly.
 func (s *Sampler) sampleLayerInto(blk *Block, frontier []int32, fanout int, rng *tensor.RNG) {
 	nDst := len(frontier)
+	blk.srcIdxOK = false
 	blk.Src = append(blk.Src[:0], frontier...)
 	s.gen++
 	if s.gen == 0 { // stamp wrap: clear and restart at 1

@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -543,17 +544,112 @@ func TestSampleIntoZeroAlloc(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	mb := &MiniBatch{}
 	targets := []int32{2, 30, 77, 140, 256, 300, 401, 499}
+	// Each step re-samples and rebuilds every block's source-major index,
+	// the way the FPGA backend and the parallel backward consume a batch.
+	step := func() {
+		if err := s.SampleInto(mb, targets, rng); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range mb.Blocks {
+			b.SourceMajor()
+		}
+	}
 	for i := 0; i < 10; i++ { // warm: grow block storage to steady state
-		if err := s.SampleInto(mb, targets, rng); err != nil {
-			t.Fatal(err)
-		}
+		step()
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := s.SampleInto(mb, targets, rng); err != nil {
-			t.Fatal(err)
-		}
-	})
+	allocs := testing.AllocsPerRun(20, step)
 	if allocs != 0 {
-		t.Fatalf("SampleInto allocated %.1f times per call, want 0", allocs)
+		t.Fatalf("SampleInto + SourceMajor allocated %.1f times per call, want 0", allocs)
 	}
+}
+
+// checkSourceMajor asserts b's source-major index is the comparison-sort
+// oracle's order (graph.SortEdgesBySource over the CSC edge list), that
+// Ptr delimits each source's run, and that CSC maps every position back to
+// its edge with duplicate pairs in CSC order.
+func checkSourceMajor(t *testing.T, what string, b *Block) {
+	t.Helper()
+	csc := make([]graph.Edge, 0, b.NumEdges())
+	for d := 0; d < len(b.Dst); d++ {
+		for _, s := range b.Col[b.RowPtr[d]:b.RowPtr[d+1]] {
+			csc = append(csc, graph.Edge{Src: s, Dst: int32(d)})
+		}
+	}
+	want := graph.SortEdgesBySource(csc)
+	idx := b.SourceMajor()
+	if len(idx.Ptr) != len(b.Src)+1 || len(idx.Edges) != len(want) || len(idx.CSC) != len(want) {
+		t.Fatalf("%s: index sized %d/%d/%d for %d sources, %d edges",
+			what, len(idx.Ptr), len(idx.Edges), len(idx.CSC), len(b.Src), len(want))
+	}
+	for i := range want {
+		if idx.Edges[i] != want[i] {
+			t.Fatalf("%s: position %d is %v, comparison sort has %v", what, i, idx.Edges[i], want[i])
+		}
+		if e := idx.CSC[i]; csc[e] != want[i] {
+			t.Fatalf("%s: position %d maps to CSC edge %d = %v, want %v", what, i, e, csc[e], want[i])
+		}
+		if i > 0 && idx.Edges[i] == idx.Edges[i-1] && idx.CSC[i] <= idx.CSC[i-1] {
+			t.Fatalf("%s: duplicate pair %v out of CSC order at %d", what, want[i], i)
+		}
+	}
+	for s := range b.Src {
+		for p := idx.Ptr[s]; p < idx.Ptr[s+1]; p++ {
+			if idx.Edges[p].Src != int32(s) {
+				t.Fatalf("%s: position %d in source %d's run holds source %d", what, p, s, idx.Edges[p].Src)
+			}
+		}
+	}
+	if idx.Ptr[0] != 0 || int(idx.Ptr[len(b.Src)]) != len(want) {
+		t.Fatalf("%s: Ptr endpoints %d..%d, want 0..%d", what, idx.Ptr[0], idx.Ptr[len(b.Src)], len(want))
+	}
+	if got := b.SortedEdgesBySource(); len(got) != len(want) || (len(want) > 0 && got[len(got)-1] != want[len(want)-1]) {
+		t.Fatalf("%s: SortedEdgesBySource disagrees with the index", what)
+	}
+}
+
+// TestSourceMajorMatchesComparisonSort is the index's property test: on
+// sampled blocks (fanout-bounded and take-all, re-sampled into the same
+// retained storage so a stale cache would show), on FullGraphBlock, and on
+// hand-built blocks with duplicate (src, dst) pairs and no edges, the
+// counting-sort index equals the stable comparison sort.
+func TestSourceMajorMatchesComparisonSort(t *testing.T) {
+	g := testGraph(t, 400, 4000, 25)
+	rng := tensor.NewRNG(8)
+	for _, fanouts := range [][]int{{10, 5}, {0, 3}, {4}} {
+		s, _ := New(g, fanouts, nil)
+		mb := &MiniBatch{}
+		for round := 0; round < 6; round++ {
+			targets := make([]int32, 1+round*9)
+			for i := range targets {
+				targets[i] = int32(rng.Intn(400))
+			}
+			if err := s.SampleInto(mb, targets, rng); err != nil {
+				t.Fatal(err)
+			}
+			for l, b := range mb.Blocks {
+				checkSourceMajor(t, fmt.Sprintf("fanouts %v round %d SampleInto layer %d", fanouts, round, l), b)
+			}
+			fresh, err := s.Sample(targets, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l, b := range fresh.Blocks {
+				checkSourceMajor(t, fmt.Sprintf("fanouts %v round %d Sample layer %d", fanouts, round, l), b)
+			}
+		}
+	}
+	full, err := FullGraphBlock(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSourceMajor(t, "full graph", full)
+	dup := &Block{
+		Src:    []int32{0, 1, 2, 3, 4},
+		Dst:    []int32{0, 1, 2},
+		RowPtr: []int32{0, 4, 4, 8},
+		Col:    []int32{3, 1, 3, 3, 0, 3, 2, 3},
+	}
+	checkSourceMajor(t, "duplicate pairs", dup)
+	empty := &Block{Src: []int32{0, 1}, Dst: []int32{0}, RowPtr: []int32{0, 0}}
+	checkSourceMajor(t, "no edges", empty)
 }

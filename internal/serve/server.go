@@ -250,6 +250,11 @@ func newServer(cfg Config) (*server, error) {
 	if cfg.Workload != nil && cfg.Replay != nil {
 		return nil, fmt.Errorf("serve: Workload and Replay are mutually exclusive")
 	}
+	if cfg.Replay != nil {
+		if err := cfg.Replay.validate(cfg.Data.Graph.NumVertices); err != nil {
+			return nil, err
+		}
+	}
 	policyName, err := ParsePolicy(cfg.Policy)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -68,10 +69,12 @@ func ReadTrace(rd io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("serve: empty trace")
 	}
 	var n int
-	if _, err := fmt.Sscanf(sc.Text(), traceHeader+" n=%d", &n); err != nil {
+	if _, err := fmt.Sscanf(sc.Text(), traceHeader+" n=%d", &n); err != nil || n < 0 {
 		return nil, fmt.Errorf("serve: bad trace header %q", sc.Text())
 	}
-	t := &Trace{Requests: make([]Request, 0, n)}
+	// The header count is only a hint for the pre-allocation until the
+	// lines confirm it, so a corrupt count cannot demand a huge buffer.
+	t := &Trace{Requests: make([]Request, 0, min(n, maxTracePrealloc))}
 	prev := -1.0
 	for sc.Scan() {
 		var r Request
@@ -105,6 +108,33 @@ func ReadTrace(rd io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("serve: trace header promises %d requests, found %d", n, len(t.Requests))
 	}
 	return t, nil
+}
+
+// maxTracePrealloc caps the request buffer ReadTrace reserves up front.
+const maxTracePrealloc = 1 << 16
+
+// validate checks a trace against the graph it is replayed on: vertices in
+// range, classes known, arrivals in order. ReadTrace checks what a file
+// alone can; newServer runs this before replaying, so a trace built in code
+// or recorded on a smaller graph returns an error instead of panicking in
+// dispatch. (Cohort is a uint8 tag the run only carries, so every value is
+// valid.)
+func (t *Trace) validate(numVertices int) error {
+	prev := math.Inf(-1)
+	for _, r := range t.Requests {
+		if r.Vertex < 0 || int(r.Vertex) >= numVertices {
+			return fmt.Errorf("serve: replayed request %d: vertex %d outside the %d-vertex graph",
+				r.ID, r.Vertex, numVertices)
+		}
+		if r.Class >= NumClasses {
+			return fmt.Errorf("serve: replayed request %d: class %d out of range", r.ID, r.Class)
+		}
+		if !(r.Arrival >= prev) {
+			return fmt.Errorf("serve: replayed request %d: arrival %v out of order", r.ID, r.Arrival)
+		}
+		prev = r.Arrival
+	}
+	return nil
 }
 
 // traceSource replays a recorded trace as an arrival source; it is bounded,

@@ -268,6 +268,50 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// A header count ReadTrace cannot honour is an error, never a panic: a
+// negative count used to reach make() as a capacity and crash with
+// "makeslice: cap out of range", and a huge one reserved memory before the
+// lines were read.
+func TestReadTraceRejectsBadHeaderCount(t *testing.T) {
+	for _, bad := range []string{
+		traceHeader + " n=-1\n",
+		traceHeader + " n=-1\n0 1 0x1p-10 0 0\n",
+		traceHeader + " n=9223372036854775807\n0 1 0x1p-10 0 0\n",
+	} {
+		if _, err := ReadTrace(strings.NewReader(bad)); err == nil {
+			t.Errorf("trace %q accepted, want error", bad)
+		}
+	}
+}
+
+// A replayed trace is checked against the served graph before the run: a
+// request whose vertex lies outside it, or whose class is unknown, or that
+// arrives before its predecessor, is a configuration error rather than an
+// index-out-of-range panic inside dispatch.
+func TestReplayRejectsInvalidRequests(t *testing.T) {
+	cfg := workloadConfig(t)
+	tr, err := GenerateTrace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nv := int32(cfg.Data.Graph.NumVertices)
+	for name, corrupt := range map[string]func(r *Request){
+		"vertex past the graph": func(r *Request) { r.Vertex = nv },
+		"negative vertex":       func(r *Request) { r.Vertex = -1 },
+		"unknown class":         func(r *Request) { r.Class = NumClasses },
+		"arrival out of order":  func(r *Request) { r.Arrival = -1 },
+	} {
+		bad := &Trace{Requests: append([]Request(nil), tr.Requests...)}
+		corrupt(&bad.Requests[len(bad.Requests)/2])
+		replayCfg := cfg
+		replayCfg.Workload = nil
+		replayCfg.Replay = bad
+		if _, err := Run(replayCfg); err == nil {
+			t.Errorf("%s: replay accepted, want error", name)
+		}
+	}
+}
+
 // Replaying a recorded trace pins the arrival process completely: the
 // workload run, a replay of its generated trace, and a second replay all
 // produce byte-identical Stats.
