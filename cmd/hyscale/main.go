@@ -66,7 +66,7 @@ func main() {
 	noHybrid := flag.Bool("no-hybrid", false, "disable hybrid CPU training")
 	noTFP := flag.Bool("no-tfp", false, "disable two-stage feature prefetching")
 	noDRM := flag.Bool("no-drm", false, "disable dynamic resource management")
-	flag.IntVar(&o.tensorPar, "tensor-par", 0, "worker goroutines for the numeric tensor kernels (GEMM, aggregation); 0 = one per CPU")
+	flag.IntVar(&o.tensorPar, "tensor-par", 0, "upper bound on worker goroutines per tensor kernel call (GEMM, gather, aggregation); a call uses min(this, GOMAXPROCS, rows, work/tensor.Grain) and runs inline at 1; 0 = one per CPU")
 	flag.StringVar(&o.simd, "simd", "auto", "SIMD dispatch level for the tensor kernels: auto | generic | sse | avx2 (every level is bit-identical; levels above the CPU's capability are rejected)")
 	flag.BoolVar(&o.quantize, "quantize", false, "int8-quantize features on the PCIe link (§VIII extension)")
 	flag.BoolVar(&o.saint, "saint", false, "use GraphSAINT random-walk sampling instead of neighbor sampling")

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -54,6 +55,12 @@ type KernelMeasurement struct {
 	// the win lands on the multicore re-record).
 	GOMAXPROCS   int     `json:"gomaxprocs,omitempty"`
 	OverlapRatio float64 `json:"overlap_ratio,omitempty"`
+	// CrossoverWork and Grain annotate the fork/join sweep rows: the least
+	// swept work (tensor.Grain units) from which a 2-way split beat the
+	// inline call at every larger swept size (0: it never did), and the
+	// tensor.Grain constant the kernels fork by.
+	CrossoverWork int `json:"crossover_work,omitempty"`
+	Grain         int `json:"grain,omitempty"`
 }
 
 // KernelsReport is the BENCH_kernels.json payload.
@@ -238,6 +245,8 @@ func Kernels(seed uint64) (*KernelsReport, error) {
 			SIMDLevel: tensor.SIMDAVX2.String(),
 		})
 	}
+
+	report.Kernels = append(report.Kernels, forkJoinRows(rng)...)
 
 	// --- Backward scatter at ogbn-products mini-batch scale.
 	fx, err := newKernelFixture(seed)
@@ -454,6 +463,96 @@ func Kernels(seed uint64) (*KernelsReport, error) {
 		rooflineFrac(k, report.PeakGFLOPS, report.StreamGBs)
 	}
 	return report, nil
+}
+
+// split2 runs fn over [0, rows) as two contiguous halves on two goroutines
+// joined by a WaitGroup: the fork tensor.ParallelRows makes at two workers.
+func split2(rows int, fn func(lo, hi int)) {
+	mid := (rows + 1) / 2
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); fn(0, mid) }()
+	go func() { defer wg.Done(); fn(mid, rows) }()
+	wg.Wait()
+}
+
+// forkJoinRows measures what a kernel fork costs and from what work size it
+// pays, at GOMAXPROCS 1 and 2: a 2-way split (split2) against the inline
+// call, first of an empty body — the bare fork/join cost — then of a 64-wide
+// MatMul and GatherRows swept over 2^16..2^23 work units. Each sweep row
+// records its crossover and times both sides at 2·tensor.Grain, the least
+// work tensor.Workers forks. At GOMAXPROCS 1 the halves take turns on one P,
+// so no split can win there.
+func forkJoinRows(rng *tensor.RNG) []KernelMeasurement {
+	prevPar := tensor.SetParallelism(1) // the halves run inline; split2 is the only fork
+	defer tensor.SetParallelism(prevPar)
+	prevProcs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prevProcs)
+
+	const cols, minWork, maxWork = 64, 1 << 16, 1 << 23
+	rowsOf := func(m *tensor.Matrix, lo, hi int) *tensor.Matrix {
+		return tensor.FromSlice(hi-lo, m.Cols, m.Data[lo*m.Cols:hi*m.Cols])
+	}
+	b := tensor.New(cols, cols)
+	tensor.NormalInit(b, 1, rng)
+	a := tensor.New(maxWork/(2*cols*cols), cols)
+	tensor.NormalInit(a, 1, rng)
+	c := tensor.New(a.Rows, cols)
+	src := tensor.New(20000, cols)
+	tensor.NormalInit(src, 1, rng)
+	idx := make([]int32, maxWork/cols)
+	for i := range idx {
+		idx[i] = int32(rng.Intn(src.Rows))
+	}
+	dst := tensor.New(len(idx), cols)
+	kernels := []struct {
+		name, shape string
+		rows        func(work int) int
+		body        func(lo, hi int)
+	}{
+		{"MatMul", "m×64·64×64", func(w int) int { return w / (2 * cols * cols) },
+			func(lo, hi int) { tensor.MatMul(rowsOf(c, lo, hi), rowsOf(a, lo, hi), b) }},
+		{"GatherRows", "n×64 from 20000×64", func(w int) int { return w / cols },
+			func(lo, hi int) { tensor.GatherRowsSerial(rowsOf(dst, lo, hi), src, idx[lo:hi]) }},
+	}
+
+	empty := func(lo, hi int) {}
+	var rows []KernelMeasurement
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		inSec, inAllocs := measure(func() { empty(0, 2) })
+		fkSec, fkAllocs := measure(func() { split2(2, empty) })
+		rows = append(rows, KernelMeasurement{
+			Kernel: "ForkJoin(2-way)", Shape: fmt.Sprintf("GOMAXPROCS %d: empty body", procs),
+			BaselineSec: inSec, OptimizedSec: fkSec, Speedup: inSec / fkSec,
+			BaselineAllocs: inAllocs, OptimizedAllocs: fkAllocs,
+			TensorPar: 2, GOMAXPROCS: procs, Grain: tensor.Grain,
+		})
+		for _, k := range kernels {
+			crossover := 0
+			for w := maxWork; w >= minWork; w /= 2 {
+				n := k.rows(w)
+				inSec, _ := measure(func() { k.body(0, n) })
+				fkSec, _ := measure(func() { split2(n, k.body) })
+				if fkSec >= inSec {
+					break
+				}
+				crossover = w
+			}
+			n := k.rows(2 * tensor.Grain)
+			inSec, inAllocs := measure(func() { k.body(0, n) })
+			fkSec, fkAllocs := measure(func() { split2(n, k.body) })
+			rows = append(rows, KernelMeasurement{
+				Kernel: "ForkJoin(2-way)",
+				Shape: fmt.Sprintf("GOMAXPROCS %d: %s %s at 2·Grain = %d units; split wins from %d",
+					procs, k.name, k.shape, 2*tensor.Grain, crossover),
+				BaselineSec: inSec, OptimizedSec: fkSec, Speedup: inSec / fkSec,
+				BaselineAllocs: inAllocs, OptimizedAllocs: fkAllocs,
+				TensorPar: 2, GOMAXPROCS: procs, CrossoverWork: crossover, Grain: tensor.Grain,
+			})
+		}
+	}
+	return rows
 }
 
 // ExtKernels renders the kernel before/after suite as a table.

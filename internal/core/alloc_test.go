@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/tensor"
-)
+import "testing"
 
 // The whole training iteration — sampling, feature staging, pricing,
 // propagation, gradient reduction, weight update, clock advance — must run
@@ -16,8 +12,6 @@ func TestTrainingIterationZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
 	}
-	prev := tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
 	cfg := baseConfig(t)
 	cfg.Plat.Accels = nil // one CPU trainer: the serial fast path
 	cfg.DRM = false
@@ -61,8 +55,6 @@ func TestTrainingIterationZeroAllocPipelined(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation gate is skipped under -race")
 	}
-	prev := tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
 	cfg := baseConfig(t)
 	cfg.Plat.Accels = nil // one CPU trainer: the serial fast path
 	cfg.DRM = false

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/gnn"
 	"repro/internal/tensor"
 )
@@ -81,12 +82,27 @@ func TestPipelinedBitwiseIdenticalToSerial(t *testing.T) {
 
 // The same invariant must hold on the CPU-only fleet (the serial fast path
 // inside compute) and with tensor parallelism enabled — the prefetch worker
-// and ParallelRows workers coexist.
+// and ParallelRows workers coexist. Parallelism and GOMAXPROCS are both 4,
+// and 2048-wide features with 128-target batches put layer 0's aggregation,
+// its backward scatter, the layer-0 GEMMs and most batches' feature gathers
+// above 2·tensor.Grain, so those kernels fork while the worker prefetches.
 func TestPipelinedBitwiseIdenticalSingleTrainer(t *testing.T) {
-	prev := tensor.SetParallelism(4)
-	defer tensor.SetParallelism(prev)
+	prevPar, prevProcs := tensor.SetParallelism(4), runtime.GOMAXPROCS(4)
+	defer func() {
+		tensor.SetParallelism(prevPar)
+		runtime.GOMAXPROCS(prevProcs)
+	}()
+	spec := datagen.Spec{Name: "core-wide", NumVertices: 1500, NumEdges: 9000,
+		FeatDims: []int{2048, 64, 5}, TrainNodes: 600}
+	ds, err := datagen.Materialize(spec, 0.4, tensor.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := func() Config {
 		cfg := baseConfig(t)
+		cfg.Data = ds
+		cfg.Model.Dims = spec.FeatDims
+		cfg.BatchSize = 128
 		cfg.Plat.Accels = nil
 		cfg.DRM = false
 		return cfg

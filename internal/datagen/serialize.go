@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -67,7 +68,10 @@ func (d *Dataset) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadDataset reads a dataset written by Save.
+// LoadDataset reads a dataset written by Save. Malformed or truncated input
+// is reported as an error: every count in the stream is checked against the
+// header before use, and the arrays are read in bounded chunks, so a stream
+// that ends early fails before any allocation larger than the data it held.
 func LoadDataset(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
@@ -83,7 +87,7 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 	if version != datasetVersion {
 		return nil, fmt.Errorf("datagen: dataset version %d, want %d", version, datasetVersion)
 	}
-	if nv > 1<<34 || nDims > 64 || nameLen > 4096 {
+	if nv > 1<<34 || nDims < 1 || nDims > 64 || nameLen > 4096 {
 		return nil, fmt.Errorf("datagen: implausible header (V=%d dims=%d name=%d)", nv, nDims, nameLen)
 	}
 	name := make([]byte, nameLen)
@@ -96,6 +100,9 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 		if err := binary.Read(br, le, &f); err != nil {
 			return nil, err
 		}
+		if f < 1 || f > maxFeatDim {
+			return nil, fmt.Errorf("datagen: feature dimension %d outside [1, %d]", f, maxFeatDim)
+		}
 		dims[i] = int(f)
 	}
 	spec := Spec{Name: string(name), NumVertices: int64(nv), NumEdges: int64(ne),
@@ -105,27 +112,37 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 	if err := binary.Read(br, le, &gv); err != nil {
 		return nil, err
 	}
-	g := &graph.Graph{NumVertices: int(gv), RowPtr: make([]int64, gv+1)}
-	if err := binary.Read(br, le, g.RowPtr); err != nil {
+	if gv != nv {
+		return nil, fmt.Errorf("datagen: graph has %d vertices, header says %d", gv, nv)
+	}
+	rowPtr, err := readChunked[int64](br, gv+1)
+	if err != nil {
 		return nil, err
 	}
 	var nCol uint64
 	if err := binary.Read(br, le, &nCol); err != nil {
 		return nil, err
 	}
-	g.ColIdx = make([]int32, nCol)
-	if err := binary.Read(br, le, g.ColIdx); err != nil {
+	// Materialize tops up in-degrees after drawing NumEdges edges, so the
+	// stored edge count is RowPtr's end, not the header's NumEdges.
+	if end := rowPtr[gv]; end < 0 || uint64(end) != nCol {
+		return nil, fmt.Errorf("datagen: %d column indices, RowPtr ends at %d", nCol, end)
+	}
+	colIdx, err := readChunked[int32](br, nCol)
+	if err != nil {
 		return nil, err
 	}
+	g := &graph.Graph{NumVertices: int(gv), RowPtr: rowPtr, ColIdx: colIdx}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("datagen: corrupt graph in dataset: %w", err)
 	}
-	features := tensor.New(int(gv), dims[0])
-	if err := binary.Read(br, le, features.Data); err != nil {
+	featData, err := readChunked[float32](br, gv*uint64(dims[0]))
+	if err != nil {
 		return nil, err
 	}
-	labels := make([]int32, gv)
-	if err := binary.Read(br, le, labels); err != nil {
+	features := tensor.FromSlice(int(gv), dims[0], featData)
+	labels, err := readChunked[int32](br, gv)
+	if err != nil {
 		return nil, err
 	}
 	var nTrain uint64
@@ -135,9 +152,35 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 	if nTrain > gv {
 		return nil, fmt.Errorf("datagen: %d train indices for %d vertices", nTrain, gv)
 	}
-	trainIdx := make([]int32, nTrain)
-	if err := binary.Read(br, le, trainIdx); err != nil {
+	trainIdx, err := readChunked[int32](br, nTrain)
+	if err != nil {
 		return nil, err
 	}
 	return &Dataset{Spec: spec, Graph: g, Features: features, Labels: labels, TrainIdx: trainIdx}, nil
+}
+
+// maxFeatDim bounds each stored feature dimension, so the feature count
+// V·dims[0] cannot overflow for any V the header admits (V ≤ 2^34).
+const maxFeatDim = 1 << 24
+
+// readChunkElems is how many elements readChunked reads per step.
+const readChunkElems = 1 << 16
+
+// readChunked reads n little-endian values, growing the result one chunk
+// at a time, so a count larger than the stream holds fails at EOF having
+// allocated about twice what was read plus one chunk, not n values.
+func readChunked[T int32 | int64 | float32](r io.Reader, n uint64) ([]T, error) {
+	var out []T
+	for uint64(len(out)) < n {
+		k := n - uint64(len(out))
+		if k > readChunkElems {
+			k = readChunkElems
+		}
+		lo := len(out)
+		out = slices.Grow(out, int(k))[:lo+int(k)]
+		if err := binary.Read(r, binary.LittleEndian, out[lo:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

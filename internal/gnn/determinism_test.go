@@ -7,13 +7,16 @@ import (
 )
 
 // Single-trainer loop (no synchronizer concurrency): parallelism must not
-// change a single bit of the training trajectory.
+// change a single bit of the training trajectory. The fixture is wide
+// enough (4096 input features, 128 targets) that layer 0's aggregation, its
+// backward scatter, dense update and gradient GEMMs all clear
+// 4·tensor.Grain and fork at par 4.
 func TestDeterminismAcrossParallelism(t *testing.T) {
 	run := func(par int) *Parameters {
-		prev := tensor.SetParallelism(par)
-		defer tensor.SetParallelism(prev)
-		dims := []int{8, 16, 5}
-		fx := makeFixture(t, dims, 32, 77)
+		restore := withParallelism(par)
+		defer restore()
+		dims := []int{4096, 32, 5}
+		fx := makeFixture(t, dims, 128, 77)
 		m, err := NewModel(Config{Kind: SAGE, Dims: dims}, tensor.NewRNG(3))
 		if err != nil {
 			t.Fatal(err)

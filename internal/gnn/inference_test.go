@@ -134,23 +134,28 @@ func TestEvaluateEmptySet(t *testing.T) {
 
 // The parallel per-vertex aggregation must produce exactly what the serial
 // path produces: each destination row is computed by one worker, so the
-// summation order within a row is unchanged.
+// summation order within a row is unchanged. 512-wide features put layer
+// 0's aggregation and dense update above 2·tensor.Grain, so at parallelism
+// and GOMAXPROCS 4 both fork.
 func TestInferFullGraphParallelMatchesSerial(t *testing.T) {
 	for _, kind := range []Kind{GCN, SAGE, GIN} {
 		rng := tensor.NewRNG(6)
-		spec := datagen.Spec{Name: "par", NumVertices: 400, NumEdges: 2400, FeatDims: []int{12, 10, 5}}
+		spec := datagen.Spec{Name: "par", NumVertices: 400, NumEdges: 2400, FeatDims: []int{512, 10, 5}}
 		ds, err := datagen.Materialize(spec, 1.0, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m, _ := NewModel(Config{Kind: kind, Dims: spec.FeatDims}, rng)
-		prev := tensor.SetParallelism(1)
+		restore := withParallelism(1)
 		serial, err := m.InferFullGraph(ds.Graph, ds.Features)
-		tensor.SetParallelism(prev)
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}
+		restore = withParallelism(4)
+		requireWorkers(t, ds.Graph.NumVertices, int(ds.Graph.NumEdges())*spec.FeatDims[0], 2)
 		parallel, err := m.InferFullGraph(ds.Graph, ds.Features)
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}

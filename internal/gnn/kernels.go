@@ -61,15 +61,16 @@ func (nb *Neighborhood) Aggregate(out, h *tensor.Matrix) {
 // straight into the mean half of its [self ‖ mean] dense input instead of
 // paying a separate ConcatCols pass.
 func (nb *Neighborhood) aggregateInto(out *tensor.Matrix, colOff int, h *tensor.Matrix) {
-	if tensor.Parallelism() <= 1 {
-		aggregateRange(nb.Block, nb.EdgeW, nb.SelfW, out, colOff, h, 0, len(nb.Block.Dst))
+	rows, work := len(nb.Block.Dst), nb.Block.NumEdges()*h.Cols
+	if tensor.Workers(rows, work) == 1 {
+		aggregateRange(nb.Block, nb.EdgeW, nb.SelfW, out, colOff, h, 0, rows)
 		return
 	}
 	// The closure captures the neighborhood's fields, not the neighborhood
 	// itself, so stack-allocated Neighborhood values (the serving hot path)
 	// never escape.
 	b, edgeW, selfW := nb.Block, nb.EdgeW, nb.SelfW
-	tensor.ParallelRows(len(b.Dst), func(lo, hi int) { aggregateRange(b, edgeW, selfW, out, colOff, h, lo, hi) })
+	tensor.ParallelRows(rows, work, func(lo, hi int) { aggregateRange(b, edgeW, selfW, out, colOff, h, lo, hi) })
 }
 
 func aggregateRange(b *sampler.Block, edgeW, selfW []float32, out *tensor.Matrix, colOff int, h *tensor.Matrix, lo, hi int) {
@@ -103,17 +104,18 @@ func aggregateRange(b *sampler.Block, edgeW, selfW []float32, out *tensor.Matrix
 // worker count, the property the gnn test suite pins with exact equality.
 // (The alternative — destination-range workers with privatized dh partials
 // merged afterwards — cannot be exact: merging partial sums reassociates
-// float32 addition.) With one worker the serial scatter is used directly,
-// skipping the index build.
+// float32 addition.) When tensor.Workers allots one worker the serial
+// scatter runs directly and the source-major index is not built.
 func (nb *Neighborhood) AggregateBackward(dh, dAgg *tensor.Matrix) {
-	if tensor.Parallelism() <= 1 {
+	rows, work := len(nb.Block.Src), nb.Block.NumEdges()*dAgg.Cols
+	if tensor.Workers(rows, work) == 1 {
 		nb.AggregateBackwardSerial(dh, dAgg)
 		return
 	}
 	idx := nb.Block.SourceMajor()
 	nD := len(nb.Block.Dst)
 	edgeW, selfW := nb.EdgeW, nb.SelfW
-	tensor.ParallelRows(len(nb.Block.Src), func(lo, hi int) {
+	tensor.ParallelRows(rows, work, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			drow := dh.Row(s)
 			t, end := idx.Ptr[s], idx.Ptr[s+1]

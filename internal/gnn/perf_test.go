@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sampler"
@@ -20,7 +21,10 @@ func raggedBlock(rng *tensor.RNG, nDst, extraSrc, maxDeg int) *sampler.Block {
 	}
 	b := &sampler.Block{Src: src, Dst: src[:nDst], RowPtr: make([]int32, nDst+1)}
 	for d := 0; d < nDst; d++ {
-		deg := rng.Intn(maxDeg + 1) // 0 hits the zero-degree path
+		deg := rng.Intn(maxDeg + 1)
+		if rng.Intn(8) == 0 {
+			deg = 0 // the zero-degree path, however large maxDeg is
+		}
 		for e := 0; e < deg; e++ {
 			s := int32(rng.Intn(nSrc))
 			if e > 0 && rng.Intn(4) == 0 {
@@ -36,36 +40,68 @@ func raggedBlock(rng *tensor.RNG, nDst, extraSrc, maxDeg int) *sampler.Block {
 	return b
 }
 
+// withParallelism sets both the kernel parallelism and GOMAXPROCS to par, so
+// a kernel call whose work clears par·tensor.Grain forks par ways, and
+// returns the undo.
+func withParallelism(par int) (restore func()) {
+	prevPar := tensor.SetParallelism(par)
+	prevProcs := runtime.GOMAXPROCS(par)
+	return func() {
+		tensor.SetParallelism(prevPar)
+		runtime.GOMAXPROCS(prevProcs)
+	}
+}
+
+// requireWorkers fails the test unless a kernel call over rows rows carrying
+// work units forks exactly want ways: an exactness test whose shapes fall
+// under the grain would compare the inline path with itself.
+func requireWorkers(t *testing.T, rows, work, want int) {
+	t.Helper()
+	if got := tensor.Workers(rows, work); got != want {
+		t.Fatalf("tensor.Workers(%d, %d) = %d, want %d: shape does not exercise the parallel branch", rows, work, got, want)
+	}
+}
+
 // TestAggregateBackwardParallelExactlyMatchesSerial is the correctness gate
 // for the parallel backward scatter: across all model kinds and ragged
 // blocks, the transposed-gather parallel path must equal the serial
 // destination-major scatter bit for bit (not approximately — the transpose
 // preserves each source's accumulation order exactly), at several worker
-// counts, including workers ≫ rows.
+// counts, including workers ≫ rows. Degrees run to 300 and rows are wide
+// enough that |E|·cols clears min(64, |src|)·Grain, so each worker count
+// forks min(par, |src|) ways (an edgeless block has no work and runs
+// inline).
 func TestAggregateBackwardParallelExactlyMatchesSerial(t *testing.T) {
 	rng := tensor.NewRNG(99)
+	pars := []int{2, 4, 64}
 	for _, kind := range allKinds {
 		for trial := 0; trial < 20; trial++ {
-			b := raggedBlock(rng, 1+rng.Intn(30), rng.Intn(40), 6)
+			b := raggedBlock(rng, 1+rng.Intn(30), rng.Intn(40), 300)
 			if err := b.Validate(); err != nil {
 				t.Fatalf("%v trial %d: bad fixture: %v", kind, trial, err)
 			}
 			cfg := Config{Kind: kind, Dims: []int{5, 3}, GINEps: 0.3}
 			nb := NewNeighborhood(cfg, b)
 			cols := 1 + rng.Intn(9) // odd widths exercise the SIMD tails
+			if e := b.NumEdges(); e > 0 {
+				cols += min(pars[len(pars)-1], len(b.Src)) * tensor.Grain / e
+			}
 			dAgg := tensor.New(len(b.Dst), cols)
 			tensor.NormalInit(dAgg, 1, rng)
 
 			want := tensor.New(len(b.Src), cols)
 			nb.AggregateBackwardSerial(want, dAgg)
 
-			for _, par := range []int{2, 4, 64} {
-				prev := tensor.SetParallelism(par)
+			for _, par := range pars {
+				restore := withParallelism(par)
+				if b.NumEdges() > 0 {
+					requireWorkers(t, len(b.Src), b.NumEdges()*cols, min(par, len(b.Src)))
+				}
 				got := tensor.New(len(b.Src), cols)
 				// Fresh neighborhood per parallelism level; the block's
 				// source-major index is built by the first and reused.
 				NewNeighborhood(cfg, b).AggregateBackward(got, dAgg)
-				tensor.SetParallelism(prev)
+				restore()
 				if !got.Equal(want) {
 					t.Fatalf("%v trial %d par=%d: parallel scatter differs from serial (max diff %g)",
 						kind, trial, par, got.MaxAbsDiff(want))
@@ -76,10 +112,9 @@ func TestAggregateBackwardParallelExactlyMatchesSerial(t *testing.T) {
 }
 
 // TestAggregateBackwardSerialFallback covers the single-worker dispatch in
-// AggregateBackward (the serial scatter, no source-major index).
+// AggregateBackward (the serial scatter, no source-major index), which a
+// block this far under the grain takes at any parallelism setting.
 func TestAggregateBackwardSerialFallback(t *testing.T) {
-	prev := tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
 	rng := tensor.NewRNG(5)
 	b := raggedBlock(rng, 12, 9, 4)
 	cfg := Config{Kind: GCN, Dims: []int{4, 2}}
@@ -146,14 +181,12 @@ func TestWSPathsMatchLegacy(t *testing.T) {
 
 // TestTrainStepWSZeroAllocs is the training-side allocation gate: once the
 // arena has grown, a steady-state TrainStepWS allocates nothing. Measured at
-// kernel parallelism 1 — AllocsPerRun pins GOMAXPROCS to 1, and goroutine
-// fan-out (not the numeric path) would otherwise be the only allocator.
+// the default kernel parallelism: AllocsPerRun pins GOMAXPROCS to 1, so every
+// kernel call runs inline, as it does in any single-P process.
 func TestTrainStepWSZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation bypasses sync.Pool; allocation counts are nondeterministic")
 	}
-	prev := tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
 	for _, kind := range allKinds {
 		dims := []int{6, 8, 5}
 		fx := makeFixture(t, dims, 16, 17)
@@ -177,13 +210,12 @@ func TestTrainStepWSZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestInferMiniBatchWSZeroAllocs is the serving-side allocation gate.
+// TestInferMiniBatchWSZeroAllocs is the serving-side allocation gate, at
+// the default kernel parallelism like the training one.
 func TestInferMiniBatchWSZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation bypasses sync.Pool; allocation counts are nondeterministic")
 	}
-	prev := tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
 	for _, kind := range allKinds {
 		dims := []int{6, 8, 5}
 		fx := makeFixture(t, dims, 16, 23)
@@ -248,10 +280,10 @@ func TestAggregateBackwardSourceMajorFreshAfterResample(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := tensor.NewRNG(44)
-	prev := tensor.SetParallelism(4)
-	defer tensor.SetParallelism(prev)
+	const par = 4
+	restore := withParallelism(par)
+	defer restore()
 	mb := &sampler.MiniBatch{}
-	cols := 7
 	for _, kind := range allKinds {
 		cfg := Config{Kind: kind, Dims: []int{5, 3}, GINEps: 0.4}
 		var retained *sampler.Block
@@ -272,6 +304,9 @@ func TestAggregateBackwardSourceMajorFreshAfterResample(t *testing.T) {
 				t.Fatalf("%v round %d: index sized for %d sources/%d edges, block has %d/%d",
 					kind, round, len(idx.Ptr)-1, len(idx.Edges), len(b.Src), b.NumEdges())
 			}
+			// Wide enough rows that the scatter forks par ways.
+			cols := 7 + par*tensor.Grain/b.NumEdges()
+			requireWorkers(t, len(b.Src), b.NumEdges()*cols, par)
 			dAgg := tensor.New(len(b.Dst), cols)
 			tensor.NormalInit(dAgg, 1, rng)
 			nb := NewNeighborhood(cfg, b)

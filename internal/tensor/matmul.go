@@ -69,13 +69,14 @@ func matMulCore(c, a, b *Matrix) {
 		return
 	}
 	// The row-range body is a named function and the closure literal sits on
-	// the parallel branch only: serial execution (the zero-allocation gates
-	// run there) never materialises a heap closure.
-	if Parallelism() <= 1 {
+	// the forking branch only: an inline call never materialises a heap
+	// closure.
+	work := 2 * a.Rows * b.Rows * b.Cols
+	if Workers(a.Rows, work) == 1 {
 		matMulRange(c, a, b, 0, a.Rows)
 		return
 	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulRange(c, a, b, lo, hi) })
+	ParallelRows(a.Rows, work, func(lo, hi int) { matMulRange(c, a, b, lo, hi) })
 }
 
 // matMulRange computes rows [lo, hi) of C = A·B.
@@ -154,11 +155,7 @@ func MatMulT(c, a, b *Matrix) {
 			buf[t*n+j] = v
 		}
 	}
-	// At parallelism 1 the range kernel is called directly with a
-	// stack-scoped header; the parallel branch builds its own header, which
-	// escapes into the worker closure (and may allocate — the parallel path
-	// allocates goroutines anyway; the zero-allocation gates run serial).
-	if Parallelism() <= 1 {
+	if Workers(a.Rows, 2*a.Rows*k*n) == 1 {
 		bt := Matrix{Rows: k, Cols: n, Data: buf}
 		matMulRange(c, a, &bt, 0, a.Rows)
 	} else {
@@ -181,11 +178,12 @@ func TMatMul(c, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: TMatMul shapes (%dx%d)T · %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	if Parallelism() <= 1 {
+	work := 2 * a.Rows * a.Cols * b.Cols
+	if Workers(c.Rows, work) == 1 {
 		tMatMulRange(c, a, b, 0, c.Rows)
 		return
 	}
-	parallelRows(c.Rows, func(lo, hi int) { tMatMulRange(c, a, b, lo, hi) })
+	ParallelRows(c.Rows, work, func(lo, hi int) { tMatMulRange(c, a, b, lo, hi) })
 }
 
 // tMatMulRange computes rows [lo, hi) of C = Aᵀ·B.
@@ -245,7 +243,7 @@ func MatMulRef(c, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	n := b.Cols
-	parallelRows(a.Rows, func(lo, hi int) {
+	ParallelRows(a.Rows, 2*a.Rows*a.Cols*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ci := c.Data[i*n : (i+1)*n]
 			for j := range ci {
@@ -269,7 +267,7 @@ func MatMulTRef(c, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	k := a.Cols
-	parallelRows(a.Rows, func(lo, hi int) {
+	ParallelRows(a.Rows, 2*a.Rows*k*b.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ai := a.Data[i*k : (i+1)*k]
 			ci := c.Data[i*c.Cols : (i+1)*c.Cols]
@@ -293,7 +291,7 @@ func TMatMulRef(c, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	n := b.Cols
-	parallelRows(c.Rows, func(lo, hi int) {
+	ParallelRows(c.Rows, 2*a.Rows*a.Cols*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ci := c.Data[i*n : (i+1)*n]
 			for j := range ci {

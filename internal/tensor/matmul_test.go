@@ -4,11 +4,17 @@ import "testing"
 
 // randomOperands draws a trial's shapes and operands, sprinkling exact zeros
 // into a (exercising the row-granular sparsity skip) and covering every
-// remainder-tile case (rows % 4, cols % SIMD width).
-func randomOperands(rng *RNG) (a, b *Matrix) {
-	m := 1 + rng.Intn(37)
-	k := 1 + rng.Intn(70)
-	n := 1 + rng.Intn(37)
+// remainder-tile case (rows % 4, cols % SIMD width). With par > 1 every
+// dimension is offset by base, the least cube side whose 2·base³ flops clear
+// par·Grain, so every kernel forks par ways.
+func randomOperands(rng *RNG, par int) (a, b *Matrix) {
+	base := 1
+	for par > 1 && 2*base*base*base < par*Grain {
+		base++
+	}
+	m := base + rng.Intn(37)
+	k := base + rng.Intn(70)
+	n := base + rng.Intn(37)
 	a = New(m, k)
 	NormalInit(a, 1, rng)
 	b = New(k, n)
@@ -29,11 +35,12 @@ func randomOperands(rng *RNG) (a, b *Matrix) {
 // patterns, and both serial and parallel execution.
 func TestBlockedMatMulExactlyMatchesReference(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		prev := SetParallelism(par)
+		restore := withParallelism(par)
 		rng := NewRNG(42)
 		for trial := 0; trial < 300; trial++ {
-			a, b := randomOperands(rng)
+			a, b := randomOperands(rng, par)
 			m, n := a.Rows, b.Cols
+			requireWorkers(t, m, 2*m*a.Cols*n, par)
 			got, want := New(m, n), New(m, n)
 
 			MatMul(got, a, b)
@@ -59,12 +66,10 @@ func TestBlockedMatMulExactlyMatchesReference(t *testing.T) {
 					par, trial, got.MaxAbsDiff(want))
 			}
 		}
-		SetParallelism(prev)
+		restore()
 	}
 }
 
-// TestMatMulLayerShapes covers the paper's dense-update shapes (wide batch
-// extents, k chunking) rather than the small random trials above.
 func TestMatMulLayerShapes(t *testing.T) {
 	rng := NewRNG(7)
 	for _, sh := range [][3]int{{1024, 128, 128}, {513, 256, 16}, {37, 2048, 8}, {4, 3, 2}} {

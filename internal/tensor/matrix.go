@@ -8,9 +8,11 @@
 // SSE baseline (axpy_avx2_amd64.s, axpy_amd64.s; a pure-Go fallback serves
 // other architectures). Every dispatch level is bit-identical — see simd.go
 // for detection and the SetSIMDLevel/TENSOR_SIMD overrides. Parallel
-// kernels split work across goroutines by row blocks; the degree of
-// parallelism is controlled by SetParallelism and defaults to
-// runtime.NumCPU().
+// kernels split work across goroutines by contiguous row blocks. Each call
+// runs on min(SetParallelism setting, runtime.GOMAXPROCS(0), rows,
+// work/Grain) goroutines (see Workers): the setting, which defaults to
+// runtime.NumCPU(), is an upper bound, and a call too small to repay the
+// fork/join runs inline on the caller's goroutine.
 package tensor
 
 import (
@@ -21,11 +23,12 @@ import (
 	"sync/atomic"
 )
 
-// parallelism is the number of worker goroutines used by parallel kernels.
+// parallelism is the upper bound on worker goroutines per kernel call.
 var parallelism int64 = int64(runtime.NumCPU())
 
-// SetParallelism sets the number of goroutines used by parallel kernels.
-// Values below 1 are clamped to 1. It returns the previous setting.
+// SetParallelism sets the upper bound on goroutines per kernel call (see
+// Workers for the count a call actually uses). Values below 1 are clamped
+// to 1. It returns the previous setting.
 func SetParallelism(n int) int {
 	if n < 1 {
 		n = 1
@@ -33,7 +36,7 @@ func SetParallelism(n int) int {
 	return int(atomic.SwapInt64(&parallelism, int64(n)))
 }
 
-// Parallelism reports the current kernel parallelism.
+// Parallelism reports the current upper bound on goroutines per kernel call.
 func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
 
 // Matrix is a dense row-major float32 matrix.
@@ -152,21 +155,45 @@ func (m *Matrix) String() string {
 	return s + "]"
 }
 
-// ParallelRows runs fn over [0, rows) split into contiguous chunks across
-// worker goroutines, honouring SetParallelism. fn receives [lo, hi). It is
-// the row-parallel helper behind every parallel kernel in this package,
-// exported so row-sharded loops elsewhere (e.g. per-vertex GNN aggregation)
-// use the same worker policy instead of rolling their own.
-func ParallelRows(rows int, fn func(lo, hi int)) { parallelRows(rows, fn) }
+// Grain is the least work, in work units, that a forked kernel call gives
+// each worker: one unit is one flop for the GEMMs, one element for gathers
+// and bias passes, and one edge×column product for aggregation. On a 2-vCPU
+// Xeon a 2-way split of a GEMM or gather starts to beat the inline call
+// between 2^18 and 2^20 units (the ForkJoin rows of BENCH_kernels.json), so
+// a fork needs at least 2·Grain = 2^20. One fork/join costs 1–2 µs, and a
+// Grain-sized share (~25 µs of GEMM) carries about 20× that.
+const Grain = 1 << 19
 
-// parallelRows runs fn over [0, rows) split into contiguous chunks across
-// worker goroutines. fn receives [lo, hi).
-func parallelRows(rows int, fn func(lo, hi int)) {
+// Workers reports how many goroutines a kernel call over rows independent
+// rows carrying work units of work (see Grain) runs on:
+// min(Parallelism(), runtime.GOMAXPROCS(0), rows, work/Grain), and at least
+// 1. At 1 the call runs inline on the caller's goroutine.
+func Workers(rows, work int) int {
 	p := Parallelism()
 	if p > rows {
 		p = rows
 	}
-	if p <= 1 || rows == 0 {
+	if w := work / Grain; p > w {
+		p = w
+	}
+	if p <= 1 {
+		return 1
+	}
+	// GOMAXPROCS takes the scheduler lock: only calls that would fork ask.
+	if g := runtime.GOMAXPROCS(0); p > g {
+		p = g
+	}
+	return p
+}
+
+// ParallelRows runs fn over [0, rows) split into Workers(rows, work)
+// contiguous chunks, one goroutine each, or inline when that is 1. fn
+// receives [lo, hi). Hot call sites test Workers first and call their range
+// kernel directly when it is 1, because the closure they would pass here
+// escapes to the heap whether or not the call forks.
+func ParallelRows(rows, work int, fn func(lo, hi int)) {
+	p := Workers(rows, work)
+	if p <= 1 {
 		fn(0, rows)
 		return
 	}

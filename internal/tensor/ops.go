@@ -43,11 +43,11 @@ func AddBias(m *Matrix, bias *Matrix) {
 	if bias.Rows != 1 || bias.Cols != m.Cols {
 		panic("tensor: AddBias wants 1xN bias matching m.Cols")
 	}
-	if Parallelism() <= 1 {
+	if Workers(m.Rows, len(m.Data)) == 1 {
 		addBiasRange(m, bias, 0, m.Rows)
 		return
 	}
-	parallelRows(m.Rows, func(lo, hi int) { addBiasRange(m, bias, lo, hi) })
+	ParallelRows(m.Rows, len(m.Data), func(lo, hi int) { addBiasRange(m, bias, lo, hi) })
 }
 
 func addBiasRange(m, bias *Matrix, lo, hi int) {
@@ -125,11 +125,11 @@ func AddBiasReLU(m, bias, mask *Matrix) {
 	if mask.Rows != m.Rows || mask.Cols != m.Cols {
 		panic("tensor: AddBiasReLU mask shape mismatch")
 	}
-	if Parallelism() <= 1 {
+	if Workers(m.Rows, len(m.Data)) == 1 {
 		addBiasReLURange(m, bias, mask, 0, m.Rows)
 		return
 	}
-	parallelRows(m.Rows, func(lo, hi int) { addBiasReLURange(m, bias, mask, lo, hi) })
+	ParallelRows(m.Rows, len(m.Data), func(lo, hi int) { addBiasReLURange(m, bias, mask, lo, hi) })
 }
 
 func addBiasReLURange(m, bias, mask *Matrix, lo, hi int) {
@@ -268,7 +268,7 @@ func ConcatCols(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Rows || dst.Cols != a.Cols+b.Cols {
 		panic("tensor: ConcatCols shape mismatch")
 	}
-	parallelRows(a.Rows, func(lo, hi int) {
+	ParallelRows(a.Rows, len(dst.Data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			copy(dst.Row(i)[:a.Cols], a.Row(i))
 			copy(dst.Row(i)[a.Cols:], b.Row(i))
@@ -296,11 +296,11 @@ func GatherRows(dst, src *Matrix, idx []int32) {
 	if dst.Rows != len(idx) || dst.Cols != src.Cols {
 		panic("tensor: GatherRows shape mismatch")
 	}
-	if Parallelism() <= 1 {
+	if Workers(len(idx), len(dst.Data)) == 1 {
 		gatherRowsRange(dst, src, idx, 0, len(idx))
 		return
 	}
-	parallelRows(len(idx), func(lo, hi int) { gatherRowsRange(dst, src, idx, lo, hi) })
+	ParallelRows(len(idx), len(dst.Data), func(lo, hi int) { gatherRowsRange(dst, src, idx, lo, hi) })
 }
 
 // GatherRowsSerial is the single-threaded reference gather — the oracle the
@@ -328,11 +328,12 @@ func GatherRowsAt(dst *Matrix, dstCol int, src *Matrix, idx []int32) {
 	if dst.Rows != len(idx) || dstCol < 0 || dstCol+src.Cols > dst.Cols {
 		panic("tensor: GatherRowsAt shape mismatch")
 	}
-	if Parallelism() <= 1 {
+	work := len(idx) * src.Cols
+	if Workers(len(idx), work) == 1 {
 		gatherRowsAtRange(dst, dstCol, src, idx, 0, len(idx))
 		return
 	}
-	parallelRows(len(idx), func(lo, hi int) { gatherRowsAtRange(dst, dstCol, src, idx, lo, hi) })
+	ParallelRows(len(idx), work, func(lo, hi int) { gatherRowsAtRange(dst, dstCol, src, idx, lo, hi) })
 }
 
 func gatherRowsAtRange(dst *Matrix, dstCol int, src *Matrix, idx []int32, lo, hi int) {

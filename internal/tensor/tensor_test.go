@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -78,19 +79,106 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
+// withParallelism sets both the kernel parallelism and GOMAXPROCS to par, so
+// a call whose work clears par·Grain forks par ways, and returns the undo.
+func withParallelism(par int) (restore func()) {
+	prevPar := SetParallelism(par)
+	prevProcs := runtime.GOMAXPROCS(par)
+	return func() {
+		SetParallelism(prevPar)
+		runtime.GOMAXPROCS(prevProcs)
+	}
+}
+
+// requireWorkers fails the test unless a call over rows rows carrying work
+// units forks exactly want ways: an exactness test whose shapes fall under
+// the grain would compare the inline path with itself.
+func requireWorkers(t *testing.T, rows, work, want int) {
+	t.Helper()
+	if got := Workers(rows, work); got != want {
+		t.Fatalf("Workers(%d, %d) = %d, want %d: shape does not exercise the parallel branch", rows, work, got, want)
+	}
+}
+
 func TestMatMulParallelMatchesSerial(t *testing.T) {
 	rng := NewRNG(2)
-	a := randomMatrix(37, 19, rng)
-	b := randomMatrix(19, 11, rng)
+	// k = 5200 puts 2·37·5200·11 flops above 8·Grain, so par 8 forks 8 ways
+	// over 37 rows (chunks of 5: ragged 4-row tiles) and chunks k.
+	a := randomMatrix(37, 5200, rng)
+	b := randomMatrix(5200, 11, rng)
 	c1 := New(37, 11)
 	c2 := New(37, 11)
-	old := SetParallelism(1)
+	restore := withParallelism(1)
 	MatMul(c1, a, b)
-	SetParallelism(8)
+	restore()
+	restore = withParallelism(8)
+	requireWorkers(t, 37, 2*37*5200*11, 8)
 	MatMul(c2, a, b)
-	SetParallelism(old)
+	restore()
 	if !c1.Equal(c2) {
 		t.Fatal("parallel MatMul differs from serial")
+	}
+}
+
+// TestWorkersBounds pins each bound of the worker-count rule
+// min(Parallelism(), GOMAXPROCS, rows, work/Grain), floored at 1.
+func TestWorkersBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		par, procs, rows, work int
+		want                   int
+	}{
+		{"setting", 2, 4, 100, 100 * Grain, 2},
+		{"gomaxprocs", 8, 3, 100, 100 * Grain, 3},
+		{"rows", 8, 8, 5, 100 * Grain, 5},
+		{"work", 8, 8, 100, 4*Grain - 1, 3},
+		{"under two grains runs inline", 8, 8, 100, 2*Grain - 1, 1},
+		{"no work", 8, 8, 100, 0, 1},
+		{"one row", 8, 8, 1, 100 * Grain, 1},
+		{"no rows", 8, 8, 0, 100 * Grain, 1},
+		{"setting 1", 1, 8, 100, 100 * Grain, 1},
+		{"gomaxprocs 1", 8, 1, 100, 100 * Grain, 1},
+	} {
+		prevPar := SetParallelism(tc.par)
+		prevProcs := runtime.GOMAXPROCS(tc.procs)
+		got := Workers(tc.rows, tc.work)
+		SetParallelism(prevPar)
+		runtime.GOMAXPROCS(prevProcs)
+		if got != tc.want {
+			t.Errorf("%s: Workers(%d, %d) at parallelism %d, GOMAXPROCS %d = %d, want %d",
+				tc.name, tc.rows, tc.work, tc.par, tc.procs, got, tc.want)
+		}
+	}
+}
+
+// ParallelRows covers [0, rows) with Workers(rows, work) contiguous,
+// disjoint chunks, and calls fn once inline when that is 1.
+func TestParallelRowsChunks(t *testing.T) {
+	restore := withParallelism(4)
+	defer restore()
+	for _, tc := range []struct{ rows, work, calls int }{
+		{10, 0, 1},
+		{10, 4 * Grain, 4},
+		{3, 4 * Grain, 3},
+		{0, 4 * Grain, 1},
+	} {
+		hit := make([]int32, tc.rows)
+		calls := make(chan [2]int, tc.rows+1)
+		ParallelRows(tc.rows, tc.work, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				hit[i]++
+			}
+			calls <- [2]int{lo, hi}
+		})
+		close(calls)
+		if len(calls) != tc.calls {
+			t.Fatalf("rows %d work %d: %d calls, want %d", tc.rows, tc.work, len(calls), tc.calls)
+		}
+		for i, h := range hit {
+			if h != 1 {
+				t.Fatalf("rows %d work %d: row %d covered %d times", tc.rows, tc.work, i, h)
+			}
+		}
 	}
 }
 
