@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,10 +54,27 @@ func TestThroughputPositiveAndFPGAWins(t *testing.T) {
 	}
 }
 
+// wallClockTables report measured host timings, which differ from run to
+// run; every other table is a pure function of the seed and is pinned byte
+// for byte against testdata/<name>.csv (regenerate one with
+// `go run ./cmd/experiments -exp <name> -csv > internal/bench/testdata/<name>.csv`).
+var wallClockTables = map[string]bool{"ext-kernels": true, "ext-serve-throughput": true}
+
 func TestByNameAndNames(t *testing.T) {
 	for _, n := range Names() {
-		if _, err := ByName(n, 1); err != nil {
+		tb, err := ByName(n, 1)
+		if err != nil {
 			t.Fatalf("%s: %v", n, err)
+		}
+		if wallClockTables[n] {
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", n+".csv"))
+		if err != nil {
+			t.Fatalf("%s: %v", n, err)
+		}
+		if got := tb.CSV(); got != string(want) {
+			t.Errorf("%s: table drifted from its golden\n got:\n%s\nwant:\n%s", n, got, want)
 		}
 	}
 	if _, err := ByName("nope", 1); err == nil {
