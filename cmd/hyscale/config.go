@@ -261,9 +261,15 @@ func buildConfig(o options) (*runSpec, error) {
 	return r, nil
 }
 
+// maxAccels bounds the -accels fleet: the platform builds one simulated
+// device per entry, so an unbounded count would exhaust memory instead of
+// failing.
+const maxAccels = 64
+
 // parseAccelSpec parses the -accels fleet specification: a comma-separated
 // list of kind[:count] entries, e.g. "gpu:2,fpga:1" or "fpga". Device order
-// follows the spec. Unknown kinds and non-positive counts are rejected.
+// follows the spec. Unknown kinds, non-positive counts and fleets larger
+// than maxAccels are rejected.
 func parseAccelSpec(s string) ([]hw.Kind, error) {
 	var kinds []hw.Kind
 	for _, entry := range strings.Split(s, ",") {
@@ -288,6 +294,9 @@ func parseAccelSpec(s string) ([]hw.Kind, error) {
 			k = hw.FPGA
 		default:
 			return nil, fmt.Errorf("-accels %q: unknown device kind %q (want gpu or fpga)", s, name)
+		}
+		if count > maxAccels-len(kinds) {
+			return nil, fmt.Errorf("-accels %q: fleet exceeds %d devices", s, maxAccels)
 		}
 		for i := 0; i < count; i++ {
 			kinds = append(kinds, k)

@@ -177,6 +177,7 @@ func TestBuildConfigRejectsBadValues(t *testing.T) {
 		"serve-policy":   {func(o *options) { o.serveMode = true; o.servePolicy = "roulette" }, "-serve-policy"},
 		"small-no-peer":  {func(o *options) { o.serveMode = true; o.serveSmall = 4 }, "-serve-cpu-peer"},
 		"multinode-0ep":  {func(o *options) { o.nodes = 2; o.epochs = 0 }, "multi-node"},
+		"accels-huge":    {func(o *options) { o.accels = "gpu:100000" }, "-accels"},
 	}
 	for name, tc := range cases {
 		o := validOptions()

@@ -26,7 +26,7 @@ func TestRingAllReduceAverages(t *testing.T) {
 					want[i] += vecs[r][i] / float32(n)
 				}
 			}
-			rg := newRing(n, hw.Ethernet100G())
+			rg := newRing(n, hw.Ethernet100G(), healthyLink)
 			var wg sync.WaitGroup
 			secs := make([]float64, n)
 			for r := 0; r < n; r++ {
@@ -34,7 +34,7 @@ func TestRingAllReduceAverages(t *testing.T) {
 				go func(r int) {
 					defer wg.Done()
 					var err error
-					secs[r], err = rg.allReduce(r, vecs[r])
+					secs[r], err = rg.allReduce(r, 0, vecs[r])
 					if err != nil {
 						t.Errorf("rank %d: %v", r, err)
 					}
@@ -59,16 +59,19 @@ func TestRingAllReduceAverages(t *testing.T) {
 	}
 }
 
+// healthyLink scripts no link degradation on any round.
+func healthyLink(int) float64 { return 1 }
+
 // A dead peer must unblock the survivors with errRingAborted instead of
 // deadlocking them — the failure mode of a fleet whose node dies mid-epoch.
 func TestRingAbortReleasesSurvivors(t *testing.T) {
 	const n = 4
-	rg := newRing(n, hw.Ethernet100G())
+	rg := newRing(n, hw.Ethernet100G(), healthyLink)
 	errs := make(chan error, n-1)
 	for r := 1; r < n; r++ {
 		go func(r int) {
 			vec := make([]float32, 64)
-			_, err := rg.allReduce(r, vec)
+			_, err := rg.allReduce(r, 0, vec)
 			errs <- err
 		}(r)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -440,9 +439,8 @@ func TestSaintSamplingInRuntime(t *testing.T) {
 	}
 }
 
-// Train, evaluate held-out accuracy, checkpoint, reload, re-evaluate: the
-// full production loop.
-func TestEvaluateAndCheckpoint(t *testing.T) {
+// Train, then evaluate held-out accuracy.
+func TestEvaluate(t *testing.T) {
 	cfg := baseConfig(t)
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -459,21 +457,6 @@ func TestEvaluateAndCheckpoint(t *testing.T) {
 	}
 	if acc <= 1.0/5 {
 		t.Fatalf("held-out accuracy %.3f not above chance", acc)
-	}
-	var buf bytes.Buffer
-	if err := e.SaveModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m, err := gnn.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc2, err := m.Evaluate(cfg.Data.Graph, cfg.Data.Features, cfg.Data.Labels, cfg.Data.TrainIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc2 <= 1.0/5 {
-		t.Fatalf("reloaded model accuracy %.3f not above chance", acc2)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/drm"
 	"repro/internal/gnn"
@@ -214,9 +213,6 @@ func (e *Engine) heldOut() []int32 {
 	e.evalIdx = idx
 	return idx
 }
-
-// SaveModel writes a checkpoint of the trained weights.
-func (e *Engine) SaveModel(w io.Writer) error { return e.replicas[0].Save(w) }
 
 // ReplicasInSync reports the maximum parameter divergence across replicas —
 // zero when the synchronous-SGD protocol is working.

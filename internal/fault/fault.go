@@ -25,8 +25,8 @@ const (
 	// survivors re-form and continue.
 	FailStop Kind = iota
 	// Crash is the training-only hard failure: the node's engine errors out
-	// at iteration AtIter and the ring aborts — the legacy terminal path,
-	// kept scripted so the abort/error-aggregation machinery stays tested.
+	// at iteration AtIter and the ring aborts for the whole fleet. Scripting
+	// it keeps the abort and error-aggregation machinery tested.
 	Crash
 	// Stall freezes a serving worker over [FromSec, ToSec): batches that
 	// would start inside the window start at its end instead.
